@@ -60,8 +60,8 @@ semiring      storage                implementation
 ``boolean``   ``bool``               ``|`` / ``&``, logical matmul
 ``natural``   ``int64``              integer arithmetic (non-negative carrier)
 ``integer``   ``int64``              integer arithmetic
-``min_plus``  ``float64``            ``np.minimum`` + broadcasted outer-sum
-``max_plus``  ``float64``            ``np.maximum`` + broadcasted outer-sum
+``min_plus``  ``float64``            ``np.minimum`` rank-1 updates / outer-sum
+``max_plus``  ``float64``            ``np.maximum`` rank-1 updates / outer-sum
 (other)       ``object``             scalar fold over ``plus`` / ``times``
 ============  =====================  ==========================================
 
@@ -73,10 +73,10 @@ batched plan executor (:func:`repro.matlang.ir.execute_plan_batch`):
 
 ``batch_matmul(left, right)``
     The per-slice semiring matrix product of two equally batched stacks.
-    Primitive backends dispatch the whole stack to a single numpy call
-    (broadcasted ``@``, blocked outer sums for the tropical semirings); the
-    generic default loops slice-by-slice over the 2-D kernel, so batching is
-    *always* correct and merely faster where vectorized.
+    Primitive backends run the whole stack in one kernel (broadcasted
+    ``@``; for the tropical semirings, the product 2-D ``matmul`` also
+    uses); the generic default loops slice-by-slice over the 2-D kernel,
+    so batching is *always* correct and merely faster where vectorized.
 ``batch_add`` / ``batch_hadamard``
     Entrywise stack combination.  The entrywise kernels are rank-generic
     (ufuncs and ``np.ndindex`` folds do not care about a leading batch
@@ -104,7 +104,7 @@ so results never wrap silently.  Workloads that routinely exceed ``int64``
 should register :class:`ObjectFoldKernels` for their semiring instead.  The
 tropical backends rely on the carrier containing only the semiring's own
 infinity, which :meth:`coerce_matrix` enforces — this is what makes the
-broadcasted outer sum safe (no ``inf - inf`` NaNs can arise).
+tropical products' sums safe (no ``inf - inf`` NaNs can arise).
 """
 
 from __future__ import annotations
@@ -228,7 +228,7 @@ class KernelBackend:
         assume their operands are validated storage arrays — e.g. an int32
         array fed to the int64 backend would otherwise accumulate (and
         silently wrap) in int32, and a ``-inf`` smuggled into a float64
-        min-plus array would poison the outer sums with NaN.
+        min-plus array would poison the tropical sums with NaN.
         """
         matrix = np.asarray(matrix)
         if matrix.dtype == self.dtype:
@@ -761,18 +761,24 @@ class TropicalKernels(KernelBackend):
     """``float64`` arrays for min-plus / max-plus.
 
     Addition is ``np.minimum`` / ``np.maximum`` (picked from the semiring's
-    zero: ``+inf`` means min-plus), multiplication is ``+``.  The matrix
-    product is a broadcasted outer sum reduced along the inner axis, blocked
-    over rows so the temporary stays bounded.  Because ``coerce_matrix``
-    rejects the out-of-carrier infinity, ``inf - inf`` NaNs cannot arise and
-    the semiring zero annihilates automatically (``zero + x == zero``).
+    zero: ``+inf`` means min-plus), multiplication is ``+``.  Both matrix
+    products run one kernel on ``(B, rows, inner)`` stacks: a loop of rank-1
+    updates over the inner index into two output-sized buffers, or one
+    broadcast outer sum for products too small to amortize the loop's
+    per-step calls.  Either is bitwise-equal (min / max over the same float
+    sums).  Because ``coerce_matrix`` rejects the out-of-carrier infinity,
+    ``inf - inf`` NaNs cannot arise and the semiring zero annihilates
+    automatically (``zero + x == zero``).
     """
 
     dtype = np.float64
 
-    #: Upper bound on the number of float64 entries in the broadcast
-    #: temporary of one matmul block (32 MiB).
-    _BLOCK_ENTRIES = 1 << 22
+    #: Crossover: the rank-1 loop pays three numpy calls per inner index, so
+    #: it runs once the output (``B * rows * cols``) has 128 entries per inner
+    #: index or 8192 in all (measured on 2 CPUs: square 2-D products break
+    #: even near n = 90); smaller products take the broadcast outer sum.
+    _RANK1_ENTRIES_PER_STEP = 128
+    _RANK1_MIN_ENTRIES = 8192
 
     def __init__(self, semiring: Semiring) -> None:
         super().__init__(semiring)
@@ -797,18 +803,7 @@ class TropicalKernels(KernelBackend):
 
     def matmul(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         _check_matmul_shapes(left, right)
-        rows, inner = left.shape
-        cols = right.shape[1]
-        if inner == 0:
-            # An empty sum is the semiring zero; np.min/np.max would raise.
-            return self.zeros(rows, cols)
-        result = np.empty((rows, cols), dtype=np.float64)
-        block = max(1, self._BLOCK_ENTRIES // max(1, inner * cols))
-        for start in range(0, rows, block):
-            stop = min(rows, start + block)
-            outer = left[start:stop, :, None] + right[None, :, :]
-            result[start:stop] = self._reduce(outer, axis=1)
-        return result
+        return self._product(left[None], right[None])[0]
 
     def add_matrices(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         _check_same_shape(left, right, "add")
@@ -881,24 +876,29 @@ class TropicalKernels(KernelBackend):
 
     def batch_matmul(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         _check_batch_matmul(left, right)
+        return self._product(left, right)
+
+    def _product(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """The per-slice product of ``(B, rows, inner)`` and ``(B, inner, cols)``."""
         batch, rows, inner = left.shape
         cols = right.shape[2]
         if inner == 0:
+            # An empty sum is the semiring zero; np.min/np.max would raise.
             return np.full((batch, rows, cols), self._zero, dtype=np.float64)
-        per_instance = rows * inner * cols
-        if per_instance > self._BLOCK_ENTRIES:
-            # Instances so large the 2-D kernel must block its rows anyway:
-            # batching buys nothing, run the slices through it directly.
-            result = np.empty((batch, rows, cols), dtype=np.float64)
-            for index in range(batch):
-                result[index] = self.matmul(left[index], right[index])
-            return result
-        result = np.empty((batch, rows, cols), dtype=np.float64)
-        block = max(1, self._BLOCK_ENTRIES // per_instance)
-        for start in range(0, batch, block):
-            stop = min(batch, start + block)
-            outer = left[start:stop, :, :, None] + right[start:stop, None, :, :]
-            result[start:stop] = self._reduce(outer, axis=2)
+        crossover = min(self._RANK1_MIN_ENTRIES, self._RANK1_ENTRIES_PER_STEP * inner)
+        if batch * rows * cols < crossover:
+            return self._reduce(left[:, :, :, None] + right[:, None, :, :], axis=2)
+        # Rank-1 updates: result = add_j (left[:, :, j] outer-plus right[:, j, :]).
+        # One contiguous copy makes every left column a cheap (B, rows, 1) view.
+        # Filling the step with the column first and then adding the row is
+        # ~20% faster at n >= 256 than one (rows, 1) + (1, cols) broadcast add.
+        columns = np.ascontiguousarray(left.transpose(2, 0, 1))[..., None]
+        result = columns[0] + right[:, 0:1, :]
+        step = np.empty_like(result)
+        for j in range(1, inner):
+            np.copyto(step, columns[j])
+            np.add(step, right[:, j : j + 1, :], out=step)
+            self._add(result, step, out=result)
         return result
 
     def batch_sum(self, rows: np.ndarray) -> np.ndarray:

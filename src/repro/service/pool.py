@@ -1170,17 +1170,15 @@ class WorkerPool:
                     (name, array.dtype.str, array.shape, array.nbytes)
                     for name, array in zip(names, arrays)
                 )
-                handle.connection.send(
-                    (
-                        "submit",
-                        task.task_id,
-                        plan_id,
-                        instance.semiring.name,
-                        dict(instance.dimensions),
-                        descriptors,
-                        remaining,
-                        trace_wire,
-                    )
+                message = (
+                    "submit",
+                    task.task_id,
+                    plan_id,
+                    instance.semiring.name,
+                    dict(instance.dimensions),
+                    descriptors,
+                    remaining,
+                    trace_wire,
                 )
                 transport = "shm"
             else:
@@ -1189,26 +1187,29 @@ class WorkerPool:
                     # us; fail fast so the rescue path takes over rather
                     # than pickling megabytes into a pipe nobody reads.
                     raise WorkerCrashError(f"worker {handle.index} is down")
-                handle.connection.send(
-                    (
-                        "psubmit",
-                        task.task_id,
-                        plan_id,
-                        instance.semiring.name,
-                        dict(instance.dimensions),
-                        pickle.dumps({name: matrices[name] for name in names}),
-                        remaining,
-                        trace_wire,
-                    )
+                message = (
+                    "psubmit",
+                    task.task_id,
+                    plan_id,
+                    instance.semiring.name,
+                    dict(instance.dimensions),
+                    pickle.dumps({name: matrices[name] for name in names}),
+                    remaining,
+                    trace_wire,
                 )
                 transport = "pickle"
-        if task.trace is not None:
-            sent_at = time.perf_counter()
-            task.sent_at = sent_at
-            task.trace.add_perf(
-                "ship", "serving", ship_started, sent_at - ship_started,
-                {"worker": handle.index, "transport": transport, "bytes": total},
-            )
+            if task.trace is not None:
+                # Stamped before the send: a fast reply can reach _complete
+                # on the receiver thread before send() returns, and both the
+                # worker span (keyed on sent_at) and this ship span must be
+                # in the trace before _complete delivers and flushes it.
+                sent_at = time.perf_counter()
+                task.sent_at = sent_at
+                task.trace.add_perf(
+                    "ship", "serving", ship_started, sent_at - ship_started,
+                    {"worker": handle.index, "transport": transport, "bytes": total},
+                )
+            handle.connection.send(message)
 
     # ------------------------------------------------------------------
     # Control plane

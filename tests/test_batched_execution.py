@@ -179,14 +179,21 @@ class TestBatchedKernels:
             kernels.batch_matmul(huge, huge)
 
     @pytest.mark.parametrize("semiring", TROPICAL, ids=lambda s: s.name)
-    def test_tropical_batch_matmul_blocks(self, semiring, monkeypatch):
+    def test_tropical_batch_matmul_branches_agree_per_slice(self, semiring, monkeypatch):
+        # 7 products of 4x3 are 84 output entries, 12 per 2-D slice: the
+        # output caps put (batch, slice) on (rank-1, rank-1), (rank-1, outer
+        # sum) and (outer sum, outer sum).
         kernels = semiring.kernels
-        monkeypatch.setattr(type(kernels), "_BLOCK_ENTRIES", 64)
         left = _stack_for(semiring, 7, 4, 5, base_seed=1)
         right = _stack_for(semiring, 7, 5, 3, base_seed=80)
-        batched = kernels.batch_matmul(left, right)
-        for index in range(7):
-            assert np.array_equal(batched[index], kernels.matmul(left[index], right[index]))
+        monkeypatch.setattr(type(kernels), "_RANK1_ENTRIES_PER_STEP", 1 << 62)
+        for threshold in (0, 84, 85):
+            monkeypatch.setattr(type(kernels), "_RANK1_MIN_ENTRIES", threshold)
+            batched = kernels.batch_matmul(left, right)
+            for index in range(7):
+                assert np.array_equal(
+                    batched[index], kernels.matmul(left[index], right[index])
+                )
 
 
 # ----------------------------------------------------------------------

@@ -78,6 +78,39 @@ def _span_tree(tracer):
     return tree
 
 
+def _assert_pooled_span_walk(requests):
+    tracer = Tracer(sample_rate=1.0, capacity=1 << 16)
+    with Engine(workers=2, trace=tracer) as engine:
+        futures = [
+            engine.submit(
+                EXPR, _instance(seed, semiring=(REAL, MIN_PLUS)[seed % 2])
+            )
+            for seed in range(requests)
+        ]
+        for future in futures:
+            future.result(60.0)
+    assert tracer.dropped == 0
+    tree = _span_tree(tracer)
+    assert len(tree) == requests
+    for stages in tree.values():
+        # Router-side stages plus the shm/pipe hop...
+        assert PIPELINE_STAGES | {"ship", "worker"} <= set(stages)
+        # ...and worker-side kernel spans shipped back over the wire.
+        kernel_spans = [
+            span
+            for spans in stages.values()
+            for span in spans
+            if span.category == KERNEL
+        ]
+        assert kernel_spans
+        # Worker spans land on the same wall-clock axis as the router's:
+        # each kernel span falls inside the request's serving window.
+        window_start = stages["admission"][0].start
+        window_end = stages["deliver"][0].end
+        for span in kernel_spans:
+            assert window_start - 0.5 <= span.start <= window_end + 0.5
+
+
 # ----------------------------------------------------------------------
 # Tracing primitives
 # ----------------------------------------------------------------------
@@ -328,35 +361,11 @@ class TestTracedEngine:
 
     def test_pooled_engine_span_tree_acceptance_walk(self):
         """Acceptance: every sampled pooled request covers the full path."""
-        tracer = Tracer(sample_rate=1.0)
-        with Engine(workers=2, trace=tracer) as engine:
-            futures = [
-                engine.submit(
-                    EXPR, _instance(seed, semiring=(REAL, MIN_PLUS)[seed % 2])
-                )
-                for seed in range(8)
-            ]
-            for future in futures:
-                future.result(60.0)
-        tree = _span_tree(tracer)
-        assert len(tree) == 8
-        for stages in tree.values():
-            # Router-side stages plus the shm/pipe hop...
-            assert PIPELINE_STAGES | {"ship", "worker"} <= set(stages)
-            # ...and worker-side kernel spans shipped back over the wire.
-            kernel_spans = [
-                span
-                for spans in stages.values()
-                for span in spans
-                if span.category == KERNEL
-            ]
-            assert kernel_spans
-            # Worker spans land on the same wall-clock axis as the router's:
-            # each kernel span falls inside the request's serving window.
-            window_start = stages["admission"][0].start
-            window_end = stages["deliver"][0].end
-            for span in kernel_spans:
-                assert window_start - 0.5 <= span.start <= window_end + 0.5
+        _assert_pooled_span_walk(8)
+
+    def test_pooled_span_walk_holds_over_a_long_stream(self):
+        """Regression: a reply racing the send must not drop ship/worker spans."""
+        _assert_pooled_span_walk(400)
 
 
 # ----------------------------------------------------------------------

@@ -595,17 +595,91 @@ class TestAggregations:
         assert PROVENANCE.sum(PROVENANCE.coerce(token) for token in ("p", "q")) is not None
 
 
-class TestTropicalMatmulBlocking:
-    def test_blocked_matmul_matches_unblocked(self):
-        rng = np.random.default_rng(7)
-        left = MIN_PLUS.coerce_matrix(rng.uniform(-5, 5, size=(17, 9)))
-        right = MIN_PLUS.coerce_matrix(rng.uniform(-5, 5, size=(9, 13)))
-        kernels = TropicalKernels(MIN_PLUS)
-        blocked = TropicalKernels(MIN_PLUS)
-        blocked._BLOCK_ENTRIES = 8  # force many row blocks
-        assert MIN_PLUS.matrices_equal(
-            kernels.matmul(left, right), blocked.matmul(left, right)
+TROPICAL = [MIN_PLUS, MAX_PLUS]
+
+
+def _tropical_operand(semiring, shape, seed, layout):
+    """Uniform floats with ~30% semiring-zero entries, in the given memory layout."""
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-5, 5, size=shape)
+    values[rng.random(shape) < 0.3] = semiring.zero
+    if layout == "fortran":
+        return np.asfortranarray(values)
+    if layout == "transposed":
+        # The same values as a transposed view of a contiguous array.
+        return np.ascontiguousarray(np.swapaxes(values, -1, -2)).swapaxes(-1, -2)
+    if layout == "broadcast":
+        # One instance shared by the whole batch through a stride-0 axis.
+        return np.broadcast_to(values[:1], shape)
+    return values
+
+
+def _naive_tropical_product(semiring, left, right):
+    reduce = np.min if semiring.zero == math.inf else np.max
+    outer = left[..., :, :, None] + right[..., None, :, :]
+    return reduce(outer, axis=-2, initial=float(semiring.zero))
+
+
+class TestTropicalProduct:
+    """Both product branches stay bitwise equal to a naive broadcast reference."""
+
+    LAYOUTS = ["c", "fortran", "transposed"]
+    # (rows, inner, cols), including every empty axis and n = 1.
+    SHAPES = [(7, 5, 9), (17, 33, 13), (1, 1, 1), (3, 0, 4), (0, 4, 3), (3, 4, 0), (0, 0, 0)]
+
+    @pytest.fixture(params=["outer_sum", "rank1"])
+    def branch(self, request, monkeypatch):
+        force_outer_sum = request.param == "outer_sum"
+        monkeypatch.setattr(
+            TropicalKernels, "_RANK1_MIN_ENTRIES", 1 << 62 if force_outer_sum else 0
         )
+        monkeypatch.setattr(
+            TropicalKernels, "_RANK1_ENTRIES_PER_STEP", 1 << 62 if force_outer_sum else 0
+        )
+        return request.param
+
+    @pytest.mark.parametrize("semiring", TROPICAL, ids=lambda s: s.name)
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_matmul_matches_naive_reference(self, semiring, layout, shape, branch):
+        rows, inner, cols = shape
+        left = _tropical_operand(semiring, (rows, inner), 1, layout)
+        right = _tropical_operand(semiring, (inner, cols), 2, layout)
+        result = semiring.kernels.matmul(left, right)
+        assert result.dtype == np.float64 and result.shape == (rows, cols)
+        assert np.array_equal(result, _naive_tropical_product(semiring, left, right))
+
+    @pytest.mark.parametrize("semiring", TROPICAL, ids=lambda s: s.name)
+    @pytest.mark.parametrize("layout", LAYOUTS + ["broadcast"])
+    @pytest.mark.parametrize("batch", [0, 4])
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_batch_matmul_matches_naive_reference(
+        self, semiring, layout, batch, shape, branch
+    ):
+        rows, inner, cols = shape
+        left = _tropical_operand(semiring, (batch, rows, inner), 3, layout)
+        right = _tropical_operand(semiring, (batch, inner, cols), 4, layout)
+        result = semiring.kernels.batch_matmul(left, right)
+        assert result.dtype == np.float64 and result.shape == (batch, rows, cols)
+        assert np.array_equal(result, _naive_tropical_product(semiring, left, right))
+
+    @pytest.mark.parametrize("semiring", TROPICAL, ids=lambda s: s.name)
+    def test_result_is_fresh_and_operands_untouched(self, semiring, branch):
+        left = _tropical_operand(semiring, (6, 6), 5, "c")
+        right = _tropical_operand(semiring, (6, 6), 6, "c")
+        before = (left.copy(), right.copy())
+        result = semiring.kernels.matmul(left, right)
+        result[...] = 0.0
+        assert np.array_equal(left, before[0]) and np.array_equal(right, before[1])
+        assert np.array_equal(
+            semiring.kernels.matmul(left, right),
+            _naive_tropical_product(semiring, left, right),
+        )
+
+    def test_all_zero_operands_give_the_semiring_zero(self, branch):
+        for semiring in TROPICAL:
+            zeros = semiring.kernels.zeros(5, 5)
+            assert np.array_equal(semiring.kernels.matmul(zeros, zeros), zeros)
 
 
 class TestInt64PerRowBound:
