@@ -15,7 +15,8 @@ per algebraic equivalence class; the cost pass
 (:mod:`repro.matlang.cost`) then re-associates matmul chains of the lowered
 plan by estimated FLOPs.  Each stage can be switched off through
 :class:`OptimizationOptions`, and what fired is recorded in ``Plan.notes``
-(rendered by :meth:`repro.matlang.ir.Plan.explain`).
+(rendered by :meth:`repro.matlang.ir.Plan.explain`), one ``fuse:`` line
+per fusion rule that replaced a quantifier loop.
 
 The lowering walk itself turns a
 :class:`~repro.matlang.typecheck.TypedExpression` into a flat
@@ -47,7 +48,7 @@ benchmarks) can assert that re-evaluation performs no re-lowering.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, namedtuple
+from collections import Counter, OrderedDict, namedtuple
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -128,6 +129,7 @@ class _Frame:
         "bound",
         "captures",
         "pinned",
+        "fusions",
     )
 
     def __init__(
@@ -148,6 +150,8 @@ class _Frame:
         self.captures: List[int] = []
         #: Registers kept alive through dead-op pruning (see Plan.pinned).
         self.pinned: List[int] = []
+        #: Fusion-rule name -> quantifier loops it fused, shared plan-wide.
+        self.fusions: Counter = Counter() if parent is None else parent.fusions
 
     def emit(self, opcode: str, inputs: Tuple[int, ...] = (), **params: Any) -> int:
         self.ops.append(PlanOp(opcode=opcode, inputs=tuple(inputs), **params))
@@ -179,6 +183,9 @@ class _RuleContext:
     def emit(self, opcode: str, inputs: Tuple[int, ...] = (), **params: Any) -> int:
         return self.frame.emit(opcode, inputs, **params)
 
+    def record_fusion(self, rule: str) -> None:
+        self.frame.fusions[rule] += 1
+
 
 # ----------------------------------------------------------------------
 # Core lowering
@@ -204,6 +211,9 @@ def lower(typed: TypedExpression, options: Optional[OptimizationOptions] = None)
         typed, notes = normalize(typed)
     frame = _Frame()
     result = _lower(typed, frame)
+    notes += tuple(
+        f"fuse: {rule} fired {count}x" for rule, count in frame.fusions.items()
+    )
     plan = _prune_plan(Plan(tuple(frame.ops), result, pinned=tuple(frame.pinned)))
     if options.reorder:
         # The active cost profile supplies the symbol weights, so calibrated
@@ -366,9 +376,14 @@ def _lower_quantifier(
         raise EvaluationError("loop node is missing its iterator annotation")
 
     context = _RuleContext(frame, expression.iterator, typed.iterator_symbol)
+    recorded = Counter(frame.fusions)
     fused = rewrites.try_fuse(kind, body_typed, context)
     if fused is not None:
         return fused
+    # Fusions recorded while a rule speculated lower ops the pruning pass
+    # drops again; the body is lowered afresh below.
+    frame.fusions.clear()
+    frame.fusions.update(recorded)
 
     child = _Frame(frame, iterator_name=expression.iterator)
     body_register = _lower(body_typed, child)

@@ -110,6 +110,16 @@ def typed_matmul(left: TypedExpression, right: TypedExpression) -> TypedExpressi
     )
 
 
+def typed_transpose(operand: TypedExpression) -> TypedExpression:
+    """The annotated transpose ``operand^T``."""
+    return TypedExpression(
+        Transpose(operand.expression),
+        (operand.type[1], operand.type[0]),
+        (operand,),
+        free_names=operand.free_names,
+    )
+
+
 def typed_add(left: TypedExpression, right: TypedExpression) -> TypedExpression:
     """The annotated sum ``left + right``."""
     return TypedExpression(

@@ -28,6 +28,13 @@ sum-quantifier body (iterator v)   fused op
 ``a + b``                          ``Sigma_v a + Sigma_v b`` (recursive,
                                    fires only when *both* summands fuse)
 ``Sigma_w (v^T . e . w)``          ``col+row sums``: the total sum of ``e``
+``(v^T.c) x P.v.Q``                ``P . c . Q`` (one-hot substitution;
+                                   ``r . v`` gives ``r^T``, a ``v^T`` slot
+                                   takes the transposed vector)
+``(s_1 x ... x s_k) x P.v.Q``      ``P . (c_1 o ... o c_k) . Q``, every
+                                   ``s_i`` linear in ``v`` (``hadamard``)
+``Sigma_w s x m``, one-hot in w    substitute ``w``, fuse ``v`` over the
+                                   result (``Sigma_v Sigma_w``, Ex. 3.5)
 =================================  =====================================
 
 The matmul patterns above are additionally matched *modulo associativity*
@@ -81,6 +88,7 @@ from repro.matlang.normalize import (
     build_matmul_chain,
     matmul_leaves,
     strip_hints,
+    typed_transpose,
 )
 from repro.matlang.schema import SCALAR_SYMBOL
 from repro.matlang.typecheck import TypedExpression
@@ -365,6 +373,21 @@ def _rule_sum_add(body: TypedExpression, ctx) -> Optional[int]:
     return ctx.emit("add", (left_register, right_register), type=body.type)
 
 
+def _inner_sum(body: TypedExpression):
+    """``(iterator, body)`` of a body that is itself a sum quantifier (or the
+    paper's for-loop desugaring of one), else ``None``."""
+    stripped = strip_hints(body)
+    expression = stripped.expression
+    if isinstance(expression, SumLoop):
+        (inner_body,) = stripped.children
+        return expression.iterator, inner_body
+    if isinstance(expression, ForLoop):
+        inner_body = sum_quantifier_body(stripped)
+        if inner_body is not None:
+            return expression.iterator, inner_body
+    return None
+
+
 def _rule_sum_nested_total(body: TypedExpression, ctx) -> Optional[int]:
     """``Sigma_u Sigma_w (u^T . e . w)``: the total sum of ``e``.
 
@@ -373,21 +396,15 @@ def _rule_sum_nested_total(body: TypedExpression, ctx) -> Optional[int]:
     one; summing both out adds up every entry, i.e. the row sums of the
     column sums.  Either iterator may take the row side.
     """
-    stripped = strip_hints(body)
-    expression = stripped.expression
-    if isinstance(expression, SumLoop):
-        (inner_body,) = stripped.children
-    elif isinstance(expression, ForLoop):
-        inner_body = sum_quantifier_body(stripped)
-        if inner_body is None:
-            return None
-    else:
+    inner = _inner_sum(body)
+    if inner is None:
         return None
-    if expression.iterator == ctx.iterator:
+    iterator, inner_body = inner
+    if iterator == ctx.iterator:
         # The inner binder shadows the outer one; the body is then invariant
         # in the outer iterator and the nsum path has already claimed it.
         return None
-    matrix = _match_bilinear(inner_body, ctx.iterator, expression.iterator)
+    matrix = _match_bilinear(inner_body, ctx.iterator, iterator)
     if matrix is None:
         return None
     columns = ctx.emit(
@@ -396,6 +413,138 @@ def _rule_sum_nested_total(body: TypedExpression, ctx) -> Optional[int]:
         type=(SCALAR_SYMBOL, matrix.type[1]),
     )
     return ctx.emit("row_sums", (columns,), type=(SCALAR_SYMBOL, SCALAR_SYMBOL))
+
+
+# ----------------------------------------------------------------------
+# One-hot substitution
+# ----------------------------------------------------------------------
+def _transposed(typed: TypedExpression) -> TypedExpression:
+    """``typed^T`` with the transpose pushed onto the factors of a chain,
+    ``(a . b)^T = b^T . a^T``, and double transposes cancelled, so the
+    iterators inside stay whole chain factors the chain rules can see."""
+    leaves = matmul_leaves(typed)
+    if len(leaves) > 1:
+        return build_matmul_chain([_transposed(leaf) for leaf in reversed(leaves)])
+    stripped = strip_hints(typed)
+    if isinstance(stripped.expression, Transpose):
+        return stripped.children[0]
+    return typed_transpose(stripped)
+
+
+def _scaled_factors(typed: TypedExpression):
+    """Flatten ``s_1 x (s_2 x ... m)`` into ``([s_1, s_2, ...], m)``; a
+    scalar factor that is itself a product ``a x b`` contributes both."""
+    scalars: List[TypedExpression] = []
+    node = strip_hints(typed)
+    while isinstance(node.expression, ScalarMul):
+        factor, operand = node.children
+        inner, last = _scaled_factors(factor)
+        scalars += inner + [last]
+        node = strip_hints(operand)
+    return scalars, node
+
+
+def _chain_roles(typed: TypedExpression, name: str):
+    """The chain factors of ``typed`` and the index of its one iterator
+    factor, or ``None`` when the iterator is not exactly one whole factor."""
+    leaves = matmul_leaves(typed)
+    roles = [_leaf_role(leaf, name) for leaf in leaves]
+    hits = [index for index, role in enumerate(roles) if role != "free"]
+    if None in roles or len(hits) != 1:
+        return None
+    return leaves, hits[0], roles[hits[0]]
+
+
+def _match_one_hot(body: TypedExpression, name: str):
+    """Match ``(s_1 x ... x s_k) x m`` for the one-hot substitution.
+
+    Each scalar ``s_i`` must be linear in the iterator — ``v^T . c`` (the
+    column ``c``) or ``r . v`` (the row ``r``) with ``c`` / ``r`` free of
+    it — and ``m`` a chain holding ``v`` or ``v^T`` exactly once.  Returns
+    ``(vectors, prefix, slot, suffix)``: the vectors already oriented like
+    the slot factor ``v`` / ``v^T`` they replace, and the factors of ``m``
+    around it; ``None`` on any other shape.
+    """
+    scalars, matrix = _scaled_factors(body)
+    if not scalars:
+        return None
+    found = _chain_roles(matrix, name)
+    if found is None:
+        return None
+    leaves, index, role = found
+    vectors = []
+    for scalar in scalars:
+        split = _chain_roles(scalar, name)
+        if split is None or len(split[0]) < 2:
+            return None
+        factors, at, scalar_role = split
+        if at == 0 and scalar_role == "vT":
+            vector, fits = build_matmul_chain(factors[1:]), "v"
+        elif at == len(factors) - 1 and scalar_role == "v":
+            vector, fits = build_matmul_chain(factors[:-1]), "vT"
+        else:
+            return None
+        vectors.append(vector if fits == role else _transposed(vector))
+    return vectors, leaves[:index], leaves[index], leaves[index + 1 :]
+
+
+def _rule_sum_one_hot(body: TypedExpression, ctx) -> Optional[int]:
+    """``Sigma_v (s_1 x ... x s_k) x m``: substitute the vector for ``v``.
+
+    A scalar linear in the iterator is the ``v``-th entry of a vector:
+    ``v^T . c = c_v`` and ``r . v = r_v``.  With ``m = P . v . Q`` (or
+    ``P . v^T . Q``) distributivity gives ``Sigma_v c_v x P . v . Q =
+    P . c . Q``: the loop drops and the vector takes the iterator's slot,
+    transposed to its orientation.  Several linear scalars multiply entry by
+    entry, so their Hadamard product takes the slot.  Needs a commutative
+    product, like every rule here.  This is LU's column extraction
+    ``Sigma_v succ^+(y, v) x ((v^T . V . y) x v)`` (Prop. 4.1).
+    """
+    match = _match_one_hot(body, ctx.iterator)
+    if match is None:
+        return None
+    vectors, prefix, slot, suffix = match
+    if len(vectors) == 1:
+        return ctx.lower(build_matmul_chain(prefix + matmul_leaves(vectors[0]) + suffix))
+    register = ctx.lower(vectors[0])
+    for vector in vectors[1:]:
+        register = ctx.emit("hadamard", (register, ctx.lower(vector)), type=slot.type)
+    if prefix:
+        register = ctx.emit(
+            "matmul",
+            (ctx.lower(build_matmul_chain(prefix)), register),
+            type=(prefix[0].type[0], slot.type[1]),
+        )
+    if suffix:
+        register = ctx.emit(
+            "matmul", (register, ctx.lower(build_matmul_chain(suffix))), type=body.type
+        )
+    return register
+
+
+def _rule_sum_nested_one_hot(body: TypedExpression, ctx) -> Optional[int]:
+    """``Sigma_u Sigma_w s x m``: one-hot substitute ``w``, then fuse ``u``.
+
+    The inner quantifier (or its for-loop sugar) substitutes to a tree free
+    of ``w``, which the sum rules then fuse for the outer iterator.  This is
+    Floyd-Warshall's ``Sigma v_i Sigma v_j (v_i^T.X.v_k.v_k^T.X.v_j) x
+    (v_i . v_j^T)`` (Ex. 3.5): the inner sum leaves ``v_i . v_i^T . X . v_k
+    . v_k^T . X``, whose selector pair the chain rule then drops.  Only a
+    single linear scalar substitutes to a tree; with more the inner loop
+    still fuses on its own once the outer one is lowered.  An inner binder
+    that shadows the outer one needs no guard: the substituted tree is then
+    free of the outer iterator and fuses to ``nsum``.
+    """
+    inner = _inner_sum(body)
+    if inner is None:
+        return None
+    iterator, inner_body = inner
+    match = _match_one_hot(inner_body, iterator)
+    if match is None or len(match[0]) != 1:
+        return None
+    vectors, prefix, _slot, suffix = match
+    substituted = build_matmul_chain(prefix + matmul_leaves(vectors[0]) + suffix)
+    return _fuse_sum(substituted, ctx)
 
 
 #: The historical binary matmul rule (row/col sums, trace, selector
@@ -407,6 +556,8 @@ SUM_RULES: List[Callable[[TypedExpression, object], Optional[int]]] = [
     _rule_sum_scalar,
     _rule_sum_add,
     _rule_sum_nested_total,
+    _rule_sum_one_hot,
+    _rule_sum_nested_one_hot,
 ]
 
 
@@ -455,41 +606,40 @@ HADAMARD_RULES: List[Callable[[TypedExpression, object], Optional[int]]] = [
 # ----------------------------------------------------------------------
 # Entry points used by the compiler
 # ----------------------------------------------------------------------
+def _apply_rules(kind: str, body: TypedExpression, ctx):
+    """``(rule name, register)`` of the first rule that fuses ``body``, or
+    ``(None, None)``.  A sum body free of the iterator is ``n`` copies of
+    itself (``nsum``) before any rule runs."""
+    body = strip_hints(body)
+    if kind == "sum" and ctx.iterator not in body.free_names:
+        register = ctx.emit("nsum", (ctx.lower(body),), symbol=ctx.symbol, type=body.type)
+        return "sum_invariant", register
+    rules = {"sum": SUM_RULES, "product": PRODUCT_RULES, "hadamard": HADAMARD_RULES}
+    for rule in rules.get(kind, ()):
+        register = rule(body, ctx)
+        if register is not None:
+            name = getattr(rule, "__name__", type(rule).__name__)
+            return name.replace("_rule_", "", 1), register
+    return None, None
+
+
 def _fuse_sum(body: TypedExpression, ctx) -> Optional[int]:
-    body = strip_hints(body)
-    if ctx.iterator not in body.free_names:
-        return ctx.emit("nsum", (ctx.lower(body),), symbol=ctx.symbol, type=body.type)
-    for rule in SUM_RULES:
-        register = rule(body, ctx)
-        if register is not None:
-            return register
-    return None
-
-
-def _fuse_with(rules, body: TypedExpression, ctx) -> Optional[int]:
-    body = strip_hints(body)
-    for rule in rules:
-        register = rule(body, ctx)
-        if register is not None:
-            return register
-    return None
+    return _apply_rules("sum", body, ctx)[1]
 
 
 def try_fuse(kind: str, body: TypedExpression, ctx) -> Optional[int]:
     """Try to replace a whole quantifier loop with fused plan ops.
 
     ``ctx`` is the compiler's rule context (``iterator`` name, dimension
-    ``symbol``, and the ``lower`` / ``emit`` callbacks into the enclosing
-    plan frame).  Returns the result register, or ``None`` when no rule
-    matches and the loop must be lowered generically.
+    ``symbol``, the ``lower`` / ``emit`` callbacks into the enclosing plan
+    frame, and ``record_fusion``, which collects the names of the rules
+    that fired for ``Plan.notes``).  Returns the result register, or
+    ``None`` when no rule matches and the loop must be lowered generically.
     """
-    if kind == "sum":
-        return _fuse_sum(body, ctx)
-    if kind == "product":
-        return _fuse_with(PRODUCT_RULES, body, ctx)
-    if kind == "hadamard":
-        return _fuse_with(HADAMARD_RULES, body, ctx)
-    return None
+    name, register = _apply_rules(kind, body, ctx)
+    if register is not None:
+        ctx.record_fusion(name)
+    return register
 
 
 def sum_quantifier_body(typed: TypedExpression) -> Optional[TypedExpression]:

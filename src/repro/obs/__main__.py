@@ -92,6 +92,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     from repro.obs.dashboard import render_dashboard
     from repro.obs.metrics import engine_registry
     from repro.obs.trace import Tracer
+    from repro.service.stats import fold_workers
 
     tracer = Tracer(sample_rate=args.sample_rate)
     requests = _demo_stream(args.requests)
@@ -107,7 +108,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         )
 
     print(frame)
-    print(snapshot.render())
+    print(fold_workers(snapshot, workers).render())
     print(
         f"traces: {tracer.finished} finished / {tracer.started} started "
         f"(sample rate {tracer.sample_rate:g}), {len(tracer.spans())} spans buffered"

@@ -78,6 +78,12 @@ def render_dashboard(
     ``hot_plans`` entries as produced by :meth:`repro.obs.trace.Tracer.hot_plans`;
     ``history`` recent throughput samples for the sparkline.
     """
+    # Imported lazily: the service package imports this one.
+    from repro.service.stats import fold_workers
+
+    # A pooled router dispatches nothing itself; its headline counts the
+    # dispatches its workers report.
+    stats = fold_workers(stats, workers)
     rule = "─" * width
     lines: List[str] = []
     uptime = getattr(stats, "uptime_seconds", 0.0)

@@ -201,9 +201,10 @@ def _snapshot_metrics(
 def engine_registry(engine: Any, tracer: Any = None) -> MetricsRegistry:
     """A registry covering everything a live engine exposes.
 
-    Sources: the engine's :class:`EngineStats` snapshot, the module plan
-    cache, the executor stack cache, the pooled result memo, per-worker
-    snapshots (labeled ``worker=<i>``), the request tracer's counters, and
+    Sources: the engine's :class:`EngineStats` snapshot with the per-worker
+    snapshots (labeled ``worker=<i>``; a pooled headline's dispatch counters
+    are their sums), the module plan cache, the executor stack cache, the
+    pooled result memo, the request tracer's counters, and
     the profile recorder's sample count.  Sources the engine doesn't have
     (e.g. workers on an in-process engine) contribute nothing rather than
     erroring.
@@ -213,7 +214,25 @@ def engine_registry(engine: Any, tracer: Any = None) -> MetricsRegistry:
         tracer = getattr(engine, "tracer", None)
 
     def engine_source() -> List[Metric]:
-        return _snapshot_metrics(engine.stats(), "repro_engine")
+        from repro.service.stats import fold_workers
+
+        # One poll feeds both the per-worker metrics and the headline: a
+        # pooled router dispatches nothing itself, so its dispatch counters
+        # are the sums over its workers (see ``fold_workers``).
+        workers: List[Any] = []
+        if getattr(engine, "workers", 0) and hasattr(engine, "worker_stats"):
+            workers = engine.worker_stats(timeout=1.0)
+        out = _snapshot_metrics(fold_workers(engine.stats(), workers), "repro_engine")
+        for index, snapshot in enumerate(workers):
+            labels = (("worker", str(index)),)
+            up = snapshot is not None
+            out.append(
+                Metric("repro_worker_up", 1.0 if up else 0.0, GAUGE,
+                       "Whether the worker answered a stats poll.", labels)
+            )
+            if up:
+                out.extend(_snapshot_metrics(snapshot, "repro_worker", labels))
+        return out
 
     def plan_cache_source() -> List[Metric]:
         from repro.matlang.compiler import plan_cache_info
@@ -260,22 +279,6 @@ def engine_registry(engine: Any, tracer: Any = None) -> MetricsRegistry:
                    "Router memo misses."),
         ]
 
-    def worker_source() -> List[Metric]:
-        worker_stats = getattr(engine, "worker_stats", None)
-        if worker_stats is None or not getattr(engine, "workers", 0):
-            return []
-        out: List[Metric] = []
-        for index, snapshot in enumerate(worker_stats(timeout=1.0)):
-            labels = (("worker", str(index)),)
-            up = snapshot is not None
-            out.append(
-                Metric("repro_worker_up", 1.0 if up else 0.0, GAUGE,
-                       "Whether the worker answered a stats poll.", labels)
-            )
-            if up:
-                out.extend(_snapshot_metrics(snapshot, "repro_worker", labels))
-        return out
-
     def trace_source() -> List[Metric]:
         if tracer is None:
             return []
@@ -303,7 +306,6 @@ def engine_registry(engine: Any, tracer: Any = None) -> MetricsRegistry:
     registry.register("plan_cache", plan_cache_source)
     registry.register("stack_cache", stack_cache_source)
     registry.register("memo", memo_source)
-    registry.register("workers", worker_source)
     registry.register("trace", trace_source)
     registry.register("profile", profile_source)
     return registry

@@ -430,9 +430,12 @@ class Engine:
         """An atomic snapshot of the serving telemetry.
 
         In pooled mode this is the router's view — submissions, memo
-        hits/misses, in-flight depth, completions and latencies;
-        per-worker dispatch detail (coalesce ratios, batch sizes) lives in
-        :meth:`worker_stats`.
+        hits/misses, in-flight depth, completions and latencies; the
+        router dispatches nothing itself, so its dispatch counters read 0.
+        Dispatches, batch sizes and coalesce ratios live in
+        :meth:`worker_stats`; ``fold_workers(engine.stats(),
+        engine.worker_stats())`` (:mod:`repro.service.stats`) sums them into
+        the headline, as the metrics registry and the dashboard do.
         """
         return self._stats.snapshot()
 

@@ -35,12 +35,12 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Deque, Optional, Sequence, Tuple
 
 from repro.obs.clock import ClockAnchor
 
-__all__ = ["EngineStats", "EngineStatsSnapshot"]
+__all__ = ["EngineStats", "EngineStatsSnapshot", "fold_workers"]
 
 
 @dataclass(frozen=True)
@@ -159,6 +159,43 @@ class EngineStatsSnapshot:
                 f"({self.sparse_assembly_seconds * 1e3:.1f}ms)"
             )
         return line
+
+
+#: Counters a pooled engine's workers record and its router does not: the
+#: router only routes, so every dispatch happens inside a worker.
+WORKER_COUNTERS = (
+    "dispatches",
+    "batched_requests",
+    "fallback_requests",
+    "sparse_batches",
+    "sparse_batched_requests",
+    "sparse_assembly_seconds",
+)
+
+
+def fold_workers(
+    headline: EngineStatsSnapshot, workers: Sequence[Any]
+) -> EngineStatsSnapshot:
+    """A pooled engine's headline with its workers' dispatch counters summed in.
+
+    ``workers`` are the per-worker snapshots of :meth:`Engine.worker_stats`
+    (``None`` for a worker that did not answer).  The router records no
+    dispatch of its own, so the summed counters replace its zeros and
+    ``coalesce_ratio`` becomes the workers' finished requests per dispatch.
+    A single-process headline, or one with no answering worker, is returned
+    unchanged.  A respawned worker starts from zero, so the sums cover the
+    live workers' lifetimes only.
+    """
+    live = [snapshot for snapshot in workers if snapshot is not None]
+    if not headline.workers or not live:
+        return headline
+    totals = {name: sum(getattr(snapshot, name) for snapshot in live)
+              for name in WORKER_COUNTERS}
+    finished = sum(snapshot.completed + snapshot.failed for snapshot in live)
+    dispatches = totals["dispatches"]
+    return replace(
+        headline, coalesce_ratio=finished / dispatches if dispatches else 0.0, **totals
+    )
 
 
 def _percentile(sorted_values: Tuple[float, ...], fraction: float) -> float:

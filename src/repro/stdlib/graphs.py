@@ -46,6 +46,11 @@ def transitive_closure_floyd_warshall(
     non-zero exactly when ``j`` is reachable from ``i`` by a non-empty path;
     over the boolean semiring the result is exactly the irreflexive
     transitive closure.
+
+    The plan compiler's one-hot substitution fuses both sums: the body of
+    the ``for`` loop compiles to ``X_1 + (X_1 . v_k) . (v_k^T . X_1)``, two
+    matrix-vector products and one outer product per step instead of
+    ``n^2`` interpreted iterations.
     """
     matrix = _as_expr(adjacency)
     vk, vi, vj = var("_fwk"), var("_fwi"), var("_fwj")

@@ -157,7 +157,12 @@ def solve_lower_triangular(matrix: ExpressionLike, rhs: ExpressionLike) -> Expre
 # LU decomposition (Proposition 4.1)
 # ----------------------------------------------------------------------
 def _column_below(matrix: Expression, pivot: Expression, symbol: str, iterator: str = "_clv") -> Expression:
-    """``col(V, y)``: column ``y`` of ``V`` with entries at positions <= y zeroed."""
+    """``col(V, y)``: column ``y`` of ``V`` with entries at positions <= y zeroed.
+
+    Both scalars are linear in the iterator, so the plan compiler's one-hot
+    substitution compiles the loop to the Hadamard product
+    ``(S_<^T . y) o (V . y)``: no loop.
+    """
     v = var(iterator)
     accumulator = f"{iterator}X"
     entry = succ_strict(pivot, v, symbol) * ((v.T @ matrix @ pivot) * v)
@@ -201,7 +206,13 @@ def lu_lower_inverse(matrix: ExpressionLike = "A", symbol: str = DEFAULT_SYMBOL)
 
 
 def lu_upper(matrix: ExpressionLike = "A", symbol: str = DEFAULT_SYMBOL) -> Expression:
-    """``e_U(V) = (for y, X = I. reduce(X . V, y) . X) . V`` — the upper factor."""
+    """``e_U(V) = (for y, X = I. reduce(X . V, y) . X) . V`` — the upper factor.
+
+    The column extraction inside ``reduce`` fuses (see
+    :func:`_column_below`), so the compiled plan nests loops one deep: the
+    outer ``for y`` plus the loops that build the order matrix ``S_<``,
+    which run once, hoisted out of it.
+    """
     expr = _as_expr(matrix)
     return lu_lower_inverse(expr, symbol) @ expr
 

@@ -52,7 +52,7 @@ from repro.obs.trace import KERNEL, SERVING
 from repro.semiring import MIN_PLUS, REAL
 from repro.semiring.backends import BatchedDenseBackend
 from repro.service import Engine, QueryClient, QueryServer
-from repro.service.stats import EngineStats, EngineStatsSnapshot, _percentile
+from repro.service.stats import EngineStats, EngineStatsSnapshot, _percentile, fold_workers
 
 A = var("A")
 V = var("v")
@@ -396,6 +396,31 @@ class TestMetricsRegistry:
         assert 'repro_worker_submitted_total{worker="0"}' in text
         assert "repro_trace_started_total" in text
         assert "repro_trace_sample_rate" in text
+
+    def test_pooled_headline_sums_worker_dispatch_counters(self):
+        with Engine(workers=2, memoize=False) as engine:
+            futures = engine.submit_many(
+                [(EXPR, _instance(seed % 20)) for seed in range(200)]
+            )
+            for future in futures:
+                future.result(60.0)
+            workers = engine.worker_stats()
+            headline = fold_workers(engine.stats(), workers)
+            scrape = engine_registry(engine).metrics()
+            frame = render_dashboard(engine.stats(), workers=workers)
+        assert engine.stats().dispatches == 0  # the router dispatches nothing
+        assert all(snapshot is not None for snapshot in workers)
+        for name in ("dispatches", "completed"):
+            assert getattr(headline, name) == sum(
+                getattr(snapshot, name) for snapshot in workers
+            ), name
+        assert headline.completed == 200
+        assert headline.dispatches > 0
+        assert headline.coalesce_ratio == 200 / headline.dispatches
+        values = {metric.name: metric.value for metric in scrape if not metric.labels}
+        assert values["repro_engine_dispatches"] >= headline.dispatches
+        assert values["repro_engine_coalesce_ratio"] > 0.0
+        assert f"{headline.coalesce_ratio:.2f}x" in frame
 
     def test_erroring_source_is_isolated_not_fatal(self):
         registry = MetricsRegistry()
